@@ -966,7 +966,7 @@ let synth_solve ~quals ~scope_n =
   let scope =
     List.init scope_n (fun i -> (Printf.sprintf "x%d" i, Sort.Int))
   in
-  let scope_args = List.map (fun (x, s) -> Term.Var (x, s)) scope in
+  let scope_args = List.map (fun (x, s) -> Term.var ~sort:s x) scope in
   let k =
     Horn.{ kname = "k"; kparams = ("v", Sort.Int) :: scope; kvalues = 1 }
   in

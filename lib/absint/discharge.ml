@@ -50,9 +50,9 @@ let try_valid (f : Term.t) : bool =
   if not !enabled then false
   else
     let ok =
-      match f with
+      match Term.view f with
       | Term.Imp (lhs, rhs) -> Env.entails (env_of_lhs lhs) rhs
-      | g -> Env.entails Env.top g
+      | _ -> Env.entails Env.top f
     in
     if ok then Profile.incr "absint.discharged"
     else Profile.incr "absint.fallthrough";

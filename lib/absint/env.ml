@@ -48,13 +48,14 @@ let is_bot (e : t) = e.bot
 exception Nonlinear
 
 let rec lin_of_term (t : Term.t) : Lia.lin =
-  match t with
+  match Term.view t with
   | Term.Int n -> Lia.lin_const n
   | Term.Var (x, s) when Sort.equal s Sort.Int -> Lia.lin_var x
   | Term.Neg a -> Lia.lin_scale (-1) (lin_of_term a)
   | Term.Binop (Term.Add, a, b) -> Lia.lin_add (lin_of_term a) (lin_of_term b)
   | Term.Binop (Term.Sub, a, b) -> Lia.lin_sub (lin_of_term a) (lin_of_term b)
-  | Term.Binop (Term.Mul, Term.Int k, a) | Term.Binop (Term.Mul, a, Term.Int k)
+  | Term.Binop (Term.Mul, { node = Term.Int k; _ }, a)
+  | Term.Binop (Term.Mul, a, { node = Term.Int k; _ })
     ->
       Lia.lin_scale k (lin_of_term a)
   | _ -> raise Nonlinear
@@ -92,14 +93,15 @@ exception Contradiction
     structure is mined; disjunctions and boolean atoms are skipped
     (sound: skipping a hypothesis only weakens the environment). *)
 let rec collect (acc : Lia.lin list) (t : Term.t) : Lia.lin list =
-  match t with
+  match Term.view t with
   | Term.Bool true -> acc
   | Term.Bool false -> raise Contradiction
   | Term.And ts -> List.fold_left collect acc ts
   | Term.Not inner -> (
-      match Term.mk_not inner with
+      let t' = Term.mk_not inner in
+      match Term.view t' with
       | Term.Not _ -> acc (* no usable normal form *)
-      | t' -> collect acc t')
+      | _ -> collect acc t')
   | Term.Cmp (op, a, b) -> (
       try
         let d = Lia.lin_sub (lin_of_term a) (lin_of_term b) in
@@ -275,16 +277,15 @@ let lower_bound (e : t) (l : Lia.lin) : int option =
 let rec entails (e : t) (goal : Term.t) : bool =
   e.bot
   ||
-  match goal with
+  match Term.view goal with
   | Term.Bool b -> b
   | Term.And ts -> List.for_all (entails e) ts
   | Term.Or ts -> List.exists (entails e) ts
   | Term.Imp (a, b) -> entails (assume e a) b
   | Term.Ite (c, a, b) -> entails (assume e c) a && entails (assume e (Term.mk_not c)) b
   | Term.Not inner -> (
-      match Term.mk_not inner with
-      | Term.Not _ -> false
-      | g -> entails e g)
+      let g = Term.mk_not inner in
+      match Term.view g with Term.Not _ -> false | _ -> entails e g)
   | Term.Cmp (op, a, b) -> (
       try
         let d = Lia.lin_sub (lin_of_term a) (lin_of_term b) in

@@ -50,13 +50,6 @@ exception Reject of error
 
 let reject e = raise (Reject e)
 
-module TermTbl = Hashtbl.Make (struct
-  type t = Term.t
-
-  let equal = Term.equal
-  let hash = Stdlib.Hashtbl.hash
-end)
-
 (* ------------------------------------------------------------------ *)
 (* Linear forms (independent of the solver's)                          *)
 (* ------------------------------------------------------------------ *)
@@ -112,14 +105,14 @@ end
 exception Nonlinear
 
 let rec lin_of_term (t : Term.t) : Lin.t =
-  match t with
+  match Term.view t with
   | Term.Var (x, _) -> Lin.var x
   | Term.Int n -> Lin.const n
   | Term.Neg a -> Lin.scale (-1) (lin_of_term a)
   | Term.Binop (Term.Add, a, b) -> Lin.add (lin_of_term a) (lin_of_term b)
   | Term.Binop (Term.Sub, a, b) -> Lin.sub (lin_of_term a) (lin_of_term b)
-  | Term.Binop (Term.Mul, Term.Int k, a)
-  | Term.Binop (Term.Mul, a, Term.Int k) ->
+  | Term.Binop (Term.Mul, { node = Term.Int k; _ }, a)
+  | Term.Binop (Term.Mul, a, { node = Term.Int k; _ }) ->
       Lin.scale k (lin_of_term a)
   | _ -> raise Nonlinear
 
@@ -129,7 +122,7 @@ let rec lin_of_term (t : Term.t) : Lin.t =
     integers — and is justified on its own, not by mirroring the
     solver. *)
 let row_of_atom (t : Term.t) (pol : bool) (dir : int) : Lin.t =
-  match t with
+  match Term.view t with
   | Term.Cmp (op, a, b) -> (
       if dir <> 1 then reject (Bad_refutation "directed comparison hypothesis")
       else
@@ -161,7 +154,7 @@ let row_of_atom (t : Term.t) (pol : bool) (dir : int) : Lin.t =
 (* ------------------------------------------------------------------ *)
 
 let rec has_real (t : Term.t) =
-  match t with
+  match Term.view t with
   | Term.Real _ | Term.Var (_, Sort.Real) -> true
   | Term.Var _ | Term.Int _ | Term.Bool _ -> false
   | Term.Neg a | Term.Not a -> has_real a
@@ -176,13 +169,13 @@ let rec has_real (t : Term.t) =
   | Term.Ite (a, b, c) -> has_real a || has_real b || has_real c
 
 type mirror = {
-  keyed : Term.t TermTbl.t;  (** opaque/quotient key → fresh variable *)
+  keyed : Term.t Term.Tbl.t;  (** opaque/quotient key → fresh variable *)
   mutable itevs : (Term.t * Term.t * Term.t * Term.t) list;
       (** pending ite facts, in introduction order *)
 }
 
 let lookup m (key : Term.t) : Term.t =
-  match TermTbl.find_opt m.keyed key with
+  match Term.Tbl.find_opt m.keyed key with
   | Some v -> v
   | None ->
       reject
@@ -190,7 +183,7 @@ let lookup m (key : Term.t) : Term.t =
            ("no fresh fact for " ^ Term.to_string key))
 
 let rec e_int m (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Term.Var _ | Term.Int _ -> t
   | Term.Real _ -> lookup m t
   | Term.Neg a -> Term.neg (e_int m a)
@@ -198,20 +191,20 @@ let rec e_int m (t : Term.t) : Term.t =
   | Term.Binop (Term.Sub, a, b) -> Term.sub (e_int m a) (e_int m b)
   | Term.Binop (Term.Mul, a, b) -> (
       let a = e_int m a and b = e_int m b in
-      match (a, b) with
+      match (Term.view a, Term.view b) with
       | Term.Int _, _ | _, Term.Int _ -> Term.mul a b
-      | _ -> lookup m (Term.Binop (Term.Mul, a, b)))
-  | Term.Binop (Term.Div, a, Term.Int c) when c > 0 ->
+      | _ -> lookup m (Term.make (Term.Binop (Term.Mul, a, b))))
+  | Term.Binop (Term.Div, a, { node = Term.Int c; _ }) when c > 0 ->
       let a = e_int m a in
-      lookup m (Term.Binop (Term.Div, a, Term.int c))
-  | Term.Binop (Term.Mod, a, Term.Int c) when c > 0 ->
+      lookup m (Term.make (Term.Binop (Term.Div, a, Term.int c)))
+  | Term.Binop (Term.Mod, a, { node = Term.Int c; _ }) when c > 0 ->
       let a = e_int m a in
-      let q = lookup m (Term.Binop (Term.Div, a, Term.int c)) in
+      let q = lookup m (Term.make (Term.Binop (Term.Div, a, Term.int c))) in
       Term.sub a (Term.mul (Term.int c) q)
   | Term.Binop ((Term.Div | Term.Mod), _, _) -> lookup m t
   | Term.App (f, args) ->
       let args = List.map (e_int m) args in
-      lookup m (Term.App (f, args))
+      lookup m (Term.make (Term.App (f, args)))
   | Term.Ite (c, a, b) -> (
       let c = e_pred m c in
       let a = e_int m a and b = e_int m b in
@@ -224,7 +217,7 @@ let rec e_int m (t : Term.t) : Term.t =
   | _ -> reject (Skeleton_mismatch ("ill-sorted term " ^ Term.to_string t))
 
 and e_pred m (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Term.Bool _ -> t
   | Term.Var (_, Sort.Bool) -> t
   | Term.Var _ -> reject (Skeleton_mismatch "ill-sorted variable")
@@ -233,12 +226,12 @@ and e_pred m (t : Term.t) : Term.t =
       else Term.mk_cmp op (e_int m a) (e_int m b)
   | Term.Eq (a, b) | Term.Ne (a, b) -> (
       let mk x y =
-        match t with Term.Eq _ -> Term.mk_eq x y | _ -> Term.mk_ne x y
+        match Term.view t with Term.Eq _ -> Term.mk_eq x y | _ -> Term.mk_ne x y
       in
       match Term.sort_of a with
       | Sort.Bool ->
           let p = Term.mk_iff (e_pred m a) (e_pred m b) in
-          (match t with Term.Eq _ -> p | _ -> Term.mk_not p)
+          (match Term.view t with Term.Eq _ -> p | _ -> Term.mk_not p)
       | Sort.Real -> lookup m t
       | Sort.Int | Sort.Loc ->
           if has_real a || has_real b then lookup m t
@@ -263,8 +256,8 @@ and e_pred m (t : Term.t) : Term.t =
 
 type bform = BTrue | BFalse | BLit of int * bool | BAnd of bform list | BOr of bform list
 
-let rec to_bform (ids : int TermTbl.t) pol (t : Term.t) : bform =
-  match t with
+let rec to_bform (ids : int Term.Tbl.t) pol (t : Term.t) : bform =
+  match Term.view t with
   | Term.Bool b -> if b = pol then BTrue else BFalse
   | Term.Not a -> to_bform ids (not pol) a
   | Term.And ts ->
@@ -285,9 +278,9 @@ let rec to_bform (ids : int TermTbl.t) pol (t : Term.t) : bform =
         BOr
           [ BAnd [ to_bform ids true a; to_bform ids false b ];
             BAnd [ to_bform ids false a; to_bform ids true b ] ]
-  | Term.Ne (a, b) -> to_bform ids (not pol) (Term.Eq (a, b))
+  | Term.Ne (a, b) -> to_bform ids (not pol) (Term.make (Term.Eq (a, b)))
   | Term.Var _ | Term.Cmp _ | Term.Eq _ -> (
-      match TermTbl.find_opt ids t with
+      match Term.Tbl.find_opt ids t with
       | Some i -> BLit (i, pol)
       | None -> reject (Bad_tree ("atom missing from table: " ^ Term.to_string t)))
   | _ -> reject (Bad_tree ("non-atomic leaf: " ^ Term.to_string t))
@@ -343,7 +336,7 @@ let check_trefut (atoms : Term.t array) (assign : int array)
         if assign.(i) <> 2 then
           reject (Bad_refutation "disequality split on non-false atom");
         let d =
-          match atoms.(i) with
+          match Term.view atoms.(i) with
           | Term.Eq (a, b) -> (
               try Lin.sub (lin_of_term a) (lin_of_term b)
               with Nonlinear ->
@@ -400,12 +393,12 @@ let names_of (t : Term.t) : string list =
     only mention the goal's variables and earlier fresh names. Returns
     the populated mirror tables plus the allowed-defs set. *)
 let build_mirror (goal : Term.t) (fresh : Proof.fresh list) :
-    mirror * unit TermTbl.t =
+    mirror * unit Term.Tbl.t =
   let known : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   List.iter (fun x -> Hashtbl.replace known x ()) (names_of goal);
-  let m = { keyed = TermTbl.create 32; itevs = [] } in
-  let allowed : unit TermTbl.t = TermTbl.create 64 in
-  let allow d = TermTbl.replace allowed d () in
+  let m = { keyed = Term.Tbl.create 32; itevs = [] } in
+  let allowed : unit Term.Tbl.t = Term.Tbl.create 64 in
+  let allow d = Term.Tbl.replace allowed d () in
   let apps : (string * Term.t list * Term.t) list ref = ref [] in
   let payload_ok t =
     List.for_all (Hashtbl.mem known) (names_of t)
@@ -425,8 +418,8 @@ let build_mirror (goal : Term.t) (fresh : Proof.fresh list) :
             reject (Bad_fresh ("forward reference in divmod of " ^ q));
           intro q;
           let qv = Term.var ~sort:Sort.Int q in
-          TermTbl.replace m.keyed
-            (Term.Binop (Term.Div, a, Term.int c))
+          Term.Tbl.replace m.keyed
+            (Term.make (Term.Binop (Term.Div, a, Term.int c)))
             qv;
           let r = Term.sub a (Term.mul (Term.int c) qv) in
           allow (Term.lt (Term.int (-c)) r);
@@ -440,12 +433,12 @@ let build_mirror (goal : Term.t) (fresh : Proof.fresh list) :
             reject (Bad_fresh ("forward reference in opaque key of " ^ v));
           intro v;
           let vv = Term.var ~sort v in
-          TermTbl.replace m.keyed key vv;
-          (match key with
+          Term.Tbl.replace m.keyed key vv;
+          (match Term.view key with
           | Term.Binop (Term.Mul, a, b) ->
               (* products are commutative: the solver registers both
                  orientations under one variable *)
-              TermTbl.replace m.keyed (Term.Binop (Term.Mul, b, a)) vv
+              Term.Tbl.replace m.keyed (Term.make (Term.Binop (Term.Mul, b, a))) vv
           | Term.App (f, args) ->
               (* congruence with every other application of the same
                  symbol is licensed (a superset of what the solver
@@ -511,7 +504,7 @@ let check ?goal (p : Proof.t) : (unit, error) result =
     (* every recorded def must be licensed by a fresh fact *)
     List.iter
       (fun d ->
-        if not (TermTbl.mem allowed d) then
+        if not (Term.Tbl.mem allowed d) then
           reject (Bad_def (Term.to_string d)))
       p.Proof.defs;
     (* the recorded skeleton must be exactly the re-derived elaboration
@@ -531,16 +524,16 @@ let check ?goal (p : Proof.t) : (unit, error) result =
         | exception Term.Ill_sorted _ -> reject (Bad_tree "ill-sorted atom"))
       p.Proof.atoms;
     let conj = Term.mk_and (p.Proof.skeleton :: p.Proof.defs) in
-    (match conj with
+    (match Term.view conj with
     | Term.Bool false -> (
         match p.Proof.tree with
         | Proof.BoolLeaf -> ()
         | _ -> reject (Bad_tree "expected propositional leaf"))
     | Term.Bool true -> reject (Bad_tree "nothing to refute")
     | _ ->
-        let ids : int TermTbl.t = TermTbl.create 64 in
+        let ids : int Term.Tbl.t = Term.Tbl.create 64 in
         Array.iteri
-          (fun i a -> if not (TermTbl.mem ids a) then TermTbl.add ids a i)
+          (fun i a -> if not (Term.Tbl.mem ids a) then Term.Tbl.add ids a i)
           p.Proof.atoms;
         let bf = to_bform ids true conj in
         let n = Array.length p.Proof.atoms in

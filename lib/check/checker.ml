@@ -275,7 +275,7 @@ let rec read_place ck (env : env) span (p : Ir.place) : env * rty =
 let read_operand ck (env : env) span (op : Ir.operand) : env * rty =
   match op with
   | Ir.Const (Ir.CInt (n, k)) -> (env, TBase (BInt k, Ix [ Term.int n ]))
-  | Ir.Const (Ir.CBool b) -> (env, TBase (BBool, Ix [ Term.Bool b ]))
+  | Ir.Const (Ir.CBool b) -> (env, TBase (BBool, Ix [ Term.bool b ]))
   | Ir.Const (Ir.CFloat _) -> (env, TBase (BFloat, Ix []))
   | Ir.Const Ir.CUnit -> (env, TBase (BUnit, Ix []))
   | Ir.Copy p -> read_place ck env span p
@@ -500,7 +500,7 @@ let check_rvalue ck (env : env) span (dest : Ir.place) (rv : Ir.rvalue) :
                 when List.length ss = List.length aa ->
                   List.iter2
                     (fun s a ->
-                      match s with
+                      match Term.view s with
                       | Term.Var (x, _)
                         when List.mem_assoc x si.si_params
                              && not (Hashtbl.mem theta x) ->
@@ -694,7 +694,7 @@ let check_vec_call ck (env : env) span (m : string) (args : Ir.operand list)
       let elem' =
         (* a push into an empty vector need not reconcile with the old
            element type *)
-        match len with
+        match Term.view len with
         | Term.Int 0 -> instantiate_elem ck env eshape [ tv ] span
         | _ -> elem'
       in
@@ -751,7 +751,7 @@ let instantiate_params ck (env : env) span (fsig : Specconv.fsig)
       ->
         List.iter2
           (fun s a ->
-            match s with
+            match Term.view s with
             | Term.Var (x, _)
               when List.mem_assoc x params && not (Hashtbl.mem theta x) ->
                 Hashtbl.replace theta x a
@@ -1083,7 +1083,7 @@ let join_entry_env ck (bb : int) : env =
     (fun l t ->
       match t with
       | TBase (b, Ex (bs, ps)) ->
-          let ts = List.map (fun (x, s) -> Term.Var (x, s)) bs in
+          let ts = List.map (fun (x, s) -> Term.var ~sort:s x) bs in
           let invs =
             List.map
               (fun p -> Horn.Conc p)

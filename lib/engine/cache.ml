@@ -35,7 +35,7 @@ open Flux_fixpoint
 
 (** Bump on any change to constraint generation, solving, or the
     fingerprint scheme: stale entries from older checkers must miss. *)
-let version = "flux-engine-v2"
+let version = "flux-engine-v3"
 
 type entry = {
   e_kvars : int;  (** κ variables of the original check (0 for WP) *)
@@ -48,8 +48,9 @@ type slice_entry = { se_sols : (string * Term.t list) list }
     {!Flux_fixpoint.Solve.slice_fingerprint}). Stored only for slices
     whose concrete heads all passed, for the same reason whole-function
     entries only store error-free verdicts. Terms are closed qualifier
-    instantiations over the κ formals — plain constructor trees, safe
-    to [Marshal]. *)
+    instantiations over the κ formals; a loaded entry's terms are
+    re-interned ({!Flux_smt.Term.import}), since a marshalled node keeps
+    the intern-table stamp of the process that wrote it. *)
 
 (* ------------------------------------------------------------------ *)
 (* The in-memory tier                                                  *)
@@ -326,7 +327,10 @@ let store ~(dir : string) (key : string) (e : entry) : unit =
 let slice_path dir key = Filename.concat dir (key ^ ".slice")
 
 let slice_load ~(dir : string) (key : string) : slice_entry option =
-  (read_marshalled (slice_path dir key) : slice_entry option)
+  let import (k, ts) = (k, List.map Flux_smt.Term.import ts) in
+  Option.map
+    (fun e -> { se_sols = List.map import e.se_sols })
+    (read_marshalled (slice_path dir key) : slice_entry option)
 
 let slice_store ~(dir : string) (key : string) (e : slice_entry) : unit =
   (try mkdir_p dir with Unix.Unix_error _ -> ());

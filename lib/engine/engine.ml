@@ -79,9 +79,10 @@ let body_size (b : Ir.body) : int =
 
 (** Run independent checks through the domain pool, largest first,
     returning results in input order. Each task runs with a clean
-    per-domain profile; the captured profiles are merged back into the
-    calling domain in input order, so the aggregated profile is
-    deterministic and scheduling-independent.
+    per-domain profile and a fresh term intern table, which bounds the
+    table by one task's terms. The captured profiles are merged back
+    into the calling domain in input order, so the aggregated profile
+    is deterministic and scheduling-independent.
 
     [cancel] is polled at task (i.e. function) boundaries; when it
     reports [true], {!Pool.Cancelled} escapes after the in-flight
@@ -98,6 +99,7 @@ let run_pool ?cancel ~(jobs : int) ~(sizes : int array)
       Array.map
         (fun i () ->
           Profile.reset ();
+          Flux_smt.Term.reset_intern ();
           let r = fns.(i) () in
           (r, Profile.capture ()))
         order

@@ -122,7 +122,7 @@ let instantiate (q : t) (params : (string * Sort.t) list) : Term.t list =
           let vars =
             List.filter_map
               (fun (x, s) ->
-                if Sort.equal s sw then Some (Term.Var (x, s)) else None)
+                if Sort.equal s sw then Some (Term.var ~sort:s x) else None)
               rest
           in
           (* small integer constants are also wildcard candidates, so
@@ -137,7 +137,7 @@ let instantiate (q : t) (params : (string * Sort.t) list) : Term.t list =
                 (fun c -> List.map (fun tl -> (fst w, c) :: tl) rest_combos)
                 (candidates_for w)
         in
-        let base = [ (fst q.qvv, Term.Var (v0, s0)) ] in
+        let base = [ (fst q.qvv, Term.var ~sort:s0 v0) ] in
         List.map (fun m -> Term.subst (base @ m) q.qbody) (combos q.qwild)
 
 (** Instantiate a whole qualifier set for a κ with [values] leading

@@ -143,7 +143,7 @@ let slice_enabled = ref true
     all the per-qualifier slices of one clause. *)
 let prepare_hyps kenv sol (c : Horn.clause) : (Term.t * Term.VarSet.t) list =
   List.map (apply_hyp kenv sol) c.Horn.hyps
-  |> List.concat_map (function Term.And ts -> ts | t -> [ t ])
+  |> List.concat_map (fun t -> match Term.view t with Term.And ts -> ts | _ -> [ t ])
   |> List.map (fun h -> (h, Term.free_vars h))
 
 (** Cone-of-influence slice of prepared hypotheses w.r.t. [rhs], via
@@ -242,7 +242,7 @@ let weaken_clause stats kenv (sol : solution) (cl : Horn.clause) : bool =
       First-time conjuncts are checked individually: initial sweeps
       mostly {e knock out}, where batching only adds queries. *)
 let weaken_clause_memo stats kenv (sol : solution)
-    ~(qmemo : bool Term.Tbl.t) (memo : (Term.t, Term.t * bool) Hashtbl.t)
+    ~(qmemo : bool Term.Tbl.t) (memo : (Term.t * bool) Term.Tbl.t)
     (cl : Horn.clause) : bool =
   match cl.Horn.head with
   | Horn.Conc _ -> false
@@ -285,9 +285,7 @@ let weaken_clause_memo stats kenv (sol : solution)
                 Term.Tbl.replace qmemo f v;
                 v
           in
-          let verdict : (Term.t, bool) Hashtbl.t =
-            Hashtbl.create (List.length conjuncts)
-          in
+          let verdict : bool Term.Tbl.t = Term.Tbl.create (List.length conjuncts) in
           (* Triage each conjunct: reuse the verdict when the query is
              unchanged since the last evaluation (clause memo) or was
              already decided for a sibling clause (query memo);
@@ -300,16 +298,16 @@ let weaken_clause_memo stats kenv (sol : solution)
             (fun q ->
               let rhs = Term.subst m q in
               let lhs = slice_for rhs in
-              match Hashtbl.find_opt memo q with
+              match Term.Tbl.find_opt memo q with
               | Some (lhs', v) when Term.equal lhs' lhs ->
                   skip ();
-                  Hashtbl.replace verdict q v
+                  Term.Tbl.replace verdict q v
               | _ -> (
                   match Term.Tbl.find_opt qmemo (Term.mk_imp lhs rhs) with
                   | Some v ->
                       skip ();
-                      Hashtbl.replace verdict q v;
-                      Hashtbl.replace memo q (lhs, v)
+                      Term.Tbl.replace verdict q v;
+                      Term.Tbl.replace memo q (lhs, v)
                   | None ->
                       let cell =
                         match
@@ -332,8 +330,8 @@ let weaken_clause_memo stats kenv (sol : solution)
              implications (see {!Flux_smt.Solver.first_invalid}), so
              the mirror records the solver's own answers. *)
           let settle lhs (q, rhs) v =
-            Hashtbl.replace verdict q v;
-            Hashtbl.replace memo q (lhs, v);
+            Term.Tbl.replace verdict q v;
+            Term.Tbl.replace memo q (lhs, v);
             Term.Tbl.replace qmemo (Term.mk_imp lhs rhs) v
           in
           (* Sweep a group sharing one left-hand side: each solver
@@ -404,7 +402,7 @@ let weaken_clause_memo stats kenv (sol : solution)
             (fun (lhs, cell) -> sweep lhs (pre_settle lhs (List.rev !cell)))
             !buckets;
           let keep =
-            List.filter (fun q -> Hashtbl.find verdict q) conjuncts
+            List.filter (fun q -> Term.Tbl.find verdict q) conjuncts
           in
           if List.length keep <> List.length conjuncts then begin
             Hashtbl.replace sol k keep;
@@ -563,7 +561,7 @@ let run_slice (p : prep) (i : int) : slice_result =
     Array.map (fun (_, cl) -> Kgraph.hyp_kvars own cl) kcls
   in
   let last : int list option array = Array.make n None in
-  let memos = Array.init n (fun _ -> Hashtbl.create 32) in
+  let memos = Array.init n (fun _ -> Term.Tbl.create 32) in
   (* Slice-global query-dedup memo: sibling clauses (e.g. pre/post κ
      pairs of the same join) and later passes frequently re-ask
      byte-identical implications. *)

@@ -133,7 +133,7 @@ let cmpop_tag = function
 
 let rec term_to_sexp (t : Term.t) : sexp =
   let l tag xs = List (Atom tag :: xs) in
-  match t with
+  match Term.view t with
   | Term.Var (x, s) -> l "var" [ Atom x; Atom (sort_to_atom s) ]
   | Term.Int n -> l "int" [ Atom (string_of_int n) ]
   | Term.Bool b -> l "bool" [ Atom (string_of_bool b) ]

@@ -236,7 +236,7 @@ let same_sort a b =
 let rec shrink_term (t : Term.t) : Term.t list =
   let rebuild1 mk a = List.map mk (shrink_term a) in
   let raw =
-    match t with
+    match Term.view t with
     | Term.Int 0 | Term.Bool _ -> []
     | Term.Int n -> [ Term.int 0; Term.int (n / 2) ]
     | Term.Var (_, Sort.Int) -> [ Term.int 0 ]
@@ -244,7 +244,7 @@ let rec shrink_term (t : Term.t) : Term.t list =
     | Term.Var _ -> []
     | Term.Binop (op, a, b) ->
         let keep_divisor b' =
-          match (op, b') with
+          match (op, Term.view b') with
           | (Term.Div | Term.Mod), Term.Int 0 -> false
           | _ -> true
         in

@@ -203,7 +203,7 @@ let rec template (senv : struct_env) ~(declare : Horn.kvar -> unit)
     let params = binders @ scope in
     declare
       { Horn.kname; Horn.kparams = params; Horn.kvalues = List.length binders };
-    Horn.Kapp (kname, List.map (fun (x, s) -> Term.Var (x, s)) params)
+    Horn.Kapp (kname, List.map (fun (x, s) -> Term.var ~sort:s x) params)
   in
   match shape with
   | Ast.TFloat -> TBase (BFloat, Ix [])

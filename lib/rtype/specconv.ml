@@ -32,12 +32,12 @@ let lookup_sort cx x =
 let rec conv_term (cx : cx) (e : Ast.expr) : Term.t =
   match e.Ast.e with
   | Ast.EInt n -> Term.int n
-  | Ast.EBool b -> Term.Bool b
+  | Ast.EBool b -> Term.bool b
   | Ast.EFloat f -> Term.real f
   | Ast.EUnit -> serr "unit value in refinement"
   | Ast.EVar x -> (
       match lookup_sort cx x with
-      | Some s -> Term.Var (x, s)
+      | Some s -> Term.var ~sort:s x
       | None -> serr "unbound refinement variable %s" x)
   | Ast.EBin (op, a, b) -> (
       let ta = conv_term cx a and tb = conv_term cx b in
@@ -91,7 +91,7 @@ let conv_index (cx : cx) (sort : Sort.t) (ix : Ast.index) : Term.t =
           if not (Sort.equal s sort) then
             serr "binder @%s used at two different sorts" n
       | None -> cx.params <- cx.params @ [ (n, sort) ]);
-      Term.Var (n, sort)
+      Term.var ~sort n
   | Ast.IxExpr e -> conv_term cx e
 
 let rec conv_rty (cx : cx) (t : Ast.rty) : rty =

@@ -35,9 +35,9 @@ let unpack (senv : struct_env) (b : base) (binders : (string * Sort.t) list)
   let renaming =
     List.map (fun (x, s) -> (x, fresh_name (if x = "" then "v" else x), s)) binders
   in
-  let m = List.map (fun (x, y, s) -> (x, Term.Var (y, s))) renaming in
+  let m = List.map (fun (x, y, s) -> (x, Term.var ~sort:s y)) renaming in
   let fresh_binders = List.map (fun (_, y, s) -> (y, s)) renaming in
-  let ts = List.map (fun (_, y, s) -> Term.Var (y, s)) renaming in
+  let ts = List.map (fun (_, y, s) -> Term.var ~sort:s y) renaming in
   let b' = subst_base m b in
   let preds' = List.map (subst_pred m) preds in
   let invs = List.map (fun t -> Horn.Conc t) (index_invariants senv b' ts) in
@@ -73,7 +73,7 @@ let rec sub (senv : struct_env) (cx : cx) ~(tag : int) (t1 : rty) (t2 : rty) :
       @ List.filter_map
           (fun h ->
             match h with
-            | Horn.Conc (Term.Bool true) -> None
+            | Horn.Conc { node = Term.Bool true; _ } -> None
             | _ -> Some (clause cx ~tag h))
           heads
   | TBase (b1, Ix ts1), TBase (b2, Ix ts2) ->

@@ -13,8 +13,10 @@
       daemon (refuse to start); an unconnectable leftover path (crashed
       daemon, stray file) is stale and is removed along with its
       pidfile before binding;
-    - a {e pidfile} ([SOCKET.pid]) is written after bind so [kill
-      $(cat …)] and the tests can address the process;
+    - a {e pidfile} ([SOCKET.pid]) is written after bind and before
+      listen, atomically (tmp + rename), so [kill $(cat …)] and the
+      tests can address the process, and a starter that can connect
+      always finds it;
     - {e drain}: SIGTERM/SIGINT (or a [shutdown] request) set one
       atomic flag; the accept loop stops taking connections, idle
       sessions close, in-flight requests run to completion and their
@@ -110,11 +112,17 @@ let metrics_info (st : state) : Json.t =
 
 (** Run one check/lint request. The session's domain-local profile is
     reset first, so the snapshot absorbed into {!Metrics} afterwards is
-    exactly this request's counters. Raises {!Exec.Disconnected} if the
-    client went away mid-run. *)
+    exactly this request's counters. So are the session domain's pure
+    memos — solver query caches, the absint left-hand-side memo and the
+    term intern table — so a long session's memory does not grow with
+    every request; answers do not depend on them. Raises
+    {!Exec.Disconnected} if the client went away mid-run. *)
 let handle_check (st : state) fd ~opts ~file ~source ~deadline_ms : unit =
   let t0 = Unix.gettimeofday () in
   Profile.reset ();
+  Flux_smt.Solver.clear_cache ();
+  Flux_absint.Discharge.reset ();
+  Flux_smt.Term.reset_intern ();
   let read =
     match source with
     | Some src -> fun () -> src
@@ -196,11 +204,13 @@ let serve (cfg : config) : (unit, string) result =
             (Printf.sprintf "fluxd: cannot bind socket %s (%s)" cfg.socket
                (Unix.error_message e))
       | () ->
-          Unix.listen lfd 64;
           let pidfile = pidfile_of cfg.socket in
-          let oc = open_out pidfile in
+          let tmp = Printf.sprintf "%s.%d.tmp" pidfile (Unix.getpid ()) in
+          let oc = open_out tmp in
           output_string oc (string_of_int (Unix.getpid ()));
           close_out oc;
+          Sys.rename tmp pidfile;
+          Unix.listen lfd 64;
           let st =
             {
               cfg;

@@ -32,7 +32,7 @@ let as_bool = function
 (** Evaluate [t] under [env] (mapping every free variable to a value).
     An unbound variable raises [Not_found]. *)
 let rec eval (env : string -> value) (t : Term.t) : value =
-  match t with
+  match Term.view t with
   | Term.Var (x, _) -> env x
   | Term.Int n -> VInt n
   | Term.Bool b -> VBool b

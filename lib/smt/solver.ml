@@ -65,20 +65,20 @@ let reset_stats () =
 exception Nonlinear
 
 let rec lin_of_term (t : Term.t) : Lia.lin =
-  match t with
+  match Term.view t with
   | Var (x, _) -> Lia.lin_var x
   | Int n -> Lia.lin_const n
   | Neg a -> Lia.lin_scale (-1) (lin_of_term a)
   | Binop (Add, a, b) -> Lia.lin_add (lin_of_term a) (lin_of_term b)
   | Binop (Sub, a, b) -> Lia.lin_sub (lin_of_term a) (lin_of_term b)
-  | Binop (Mul, Int k, a) | Binop (Mul, a, Int k) ->
+  | Binop (Mul, { node = Int k; _ }, a) | Binop (Mul, a, { node = Int k; _ }) ->
       Lia.lin_scale k (lin_of_term a)
   | _ -> raise Nonlinear
 
 (** Convert an assigned atom into a theory literal. Boolean-variable
     atoms carry no arithmetic content and yield [None]. *)
 let literal_of_atom (t : Term.t) (value : bool) : Lia.literal option =
-  match t with
+  match Term.view t with
   | Term.Var (_, Sort.Bool) -> None
   | Term.Cmp (op, a, b) -> (
       try
@@ -113,14 +113,14 @@ let literal_of_atom (t : Term.t) (value : bool) : Lia.literal option =
     Every model of the query satisfies them, so the div/mod encoding
     below may consult them to settle a dividend's sign up front. *)
 let rec unit_facts acc (sign : bool) (t : Term.t) : Lia.literal list =
-  match (sign, t) with
+  match (sign, Term.view t) with
   | true, Term.And ts ->
       List.fold_left (fun acc t -> unit_facts acc true t) acc ts
   | false, Term.Or ts ->
       List.fold_left (fun acc t -> unit_facts acc false t) acc ts
   | false, Term.Imp (a, b) -> unit_facts (unit_facts acc false b) true a
   | _, Term.Not a -> unit_facts acc (not sign) a
-  | _, Term.Ne (a, b) -> unit_facts acc (not sign) (Term.Eq (a, b))
+  | _, Term.Ne (a, b) -> unit_facts acc (not sign) (Term.make (Term.Eq (a, b)))
   | _, (Term.Cmp _ | Term.Eq _) -> (
       match literal_of_atom t sign with Some l -> l :: acc | None -> acc)
   | _ -> acc
@@ -129,25 +129,9 @@ let rec unit_facts acc (sign : bool) (t : Term.t) : Lia.literal list =
 (* Elaboration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Hash table for {e small} term keys — elaboration's opaque keys and
-   the DPLL atom table. These keys are leaf-sized, so the bounded
-   polymorphic hash covers them fully — one cheap lookup per
-   occurrence, with the phys-first [Term.equal] resolving hits
-   immediately because such terms are interned by the smart
-   constructors. Keying by the memoized full [Term.hash] ({!Term.Tbl})
-   would route every occurrence through the intern table a second time
-   for no gain; [Term.Tbl] is reserved for the query caches, whose
-   large raw keys the bounded hash would collapse into a few buckets. *)
-module SmallTbl = Hashtbl.Make (struct
-  type t = Term.t
-
-  let equal = Term.equal
-  let hash = Stdlib.Hashtbl.hash
-end)
-
 type elab_state = {
   mutable defs : Term.t list;  (** definitional constraints *)
-  opaque : Term.t SmallTbl.t;  (** original term -> opaque var *)
+  opaque : Term.t Term.Tbl.t;  (** original term -> opaque var *)
   apps : (string, (Term.t * Term.t list) list) Hashtbl.t;
       (** fn symbol -> [(opaque var, elaborated args)] for Ackermann *)
   mutable counter : int;
@@ -174,20 +158,19 @@ let record_fresh st (f : Proof.fresh) =
   | Some acc -> st.record <- Some (f :: acc)
 
 let var_name (v : Term.t) =
-  match v with Term.Var (x, _) -> x | _ -> assert false
+  match Term.view v with Term.Var (x, _) -> x | _ -> assert false
 
 let opaque_of st key sort =
-  let key = Term.hc key in
-  match SmallTbl.find_opt st.opaque key with
+  match Term.Tbl.find_opt st.opaque key with
   | Some v -> v
   | None ->
       let v = fresh st "o" sort in
-      SmallTbl.add st.opaque key v;
+      Term.Tbl.add st.opaque key v;
       record_fresh st (Proof.Opaque (key, var_name v, sort));
       v
 
 let rec has_real (t : Term.t) =
-  match t with
+  match Term.view t with
   | Real _ -> true
   | Var (_, Sort.Real) -> true
   | Var _ | Int _ | Bool _ -> false
@@ -219,13 +202,13 @@ let rec has_real (t : Term.t) =
     unconditional one-sided bounds instead — same strength, no case
     split. *)
 let divmod st (a : Term.t) (c : int) : Term.t * Term.t =
-  let dkey = Term.hc (Term.Binop (Div, a, Term.int c)) in
+  let dkey = Term.make (Term.Binop (Div, a, Term.int c)) in
   let q =
-    match SmallTbl.find_opt st.opaque dkey with
+    match Term.Tbl.find_opt st.opaque dkey with
     | Some q -> q
     | None ->
         let q = fresh st "q" Sort.Int in
-        SmallTbl.add st.opaque dkey q;
+        Term.Tbl.add st.opaque dkey q;
         record_fresh st (Proof.Divmod (a, c, var_name q));
         let r = Term.sub a (Term.mul (Term.int c) q) in
         let la = try Some (lin_of_term a) with Nonlinear -> None in
@@ -263,7 +246,7 @@ let divmod st (a : Term.t) (c : int) : Term.t * Term.t =
 
 (** Elaborate an integer-sorted term into a linear-safe one. *)
 let rec elab_int st (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Var _ | Int _ -> t
   | Real _ -> opaque_of st t Sort.Int
   | Neg a -> Term.neg (elab_int st a)
@@ -271,30 +254,30 @@ let rec elab_int st (t : Term.t) : Term.t =
   | Binop (Sub, a, b) -> Term.sub (elab_int st a) (elab_int st b)
   | Binop (Mul, a, b) -> (
       let a = elab_int st a and b = elab_int st b in
-      match (a, b) with
+      match (Term.view a, Term.view b) with
       | Int _, _ | _, Int _ -> Term.mul a b
       | _ -> (
           (* nonlinear: abstract, but remember commutativity by also
              registering the flipped product under the same variable *)
-          let key = Term.hc (Term.Binop (Mul, a, b)) in
-          match SmallTbl.find_opt st.opaque key with
+          let key = Term.make (Term.Binop (Mul, a, b)) in
+          match Term.Tbl.find_opt st.opaque key with
           | Some v -> v
           | None ->
               let v = fresh st "o" Sort.Int in
-              SmallTbl.replace st.opaque key v;
-              SmallTbl.replace st.opaque (Term.hc (Term.Binop (Mul, b, a))) v;
+              Term.Tbl.replace st.opaque key v;
+              Term.Tbl.replace st.opaque (Term.make (Term.Binop (Mul, b, a))) v;
               record_fresh st (Proof.Opaque (key, var_name v, Sort.Int));
               v))
-  | Binop (Div, a, Int c) when c > 0 ->
+  | Binop (Div, a, { node = Int c; _ }) when c > 0 ->
       let a = elab_int st a in
       fst (divmod st a c)
-  | Binop (Mod, a, Int c) when c > 0 ->
+  | Binop (Mod, a, { node = Int c; _ }) when c > 0 ->
       let a = elab_int st a in
       snd (divmod st a c)
   | Binop ((Div | Mod), _, _) -> opaque_of st t Sort.Int
   | App (f, args) ->
       let args = List.map (elab_int st) args in
-      let key = Term.App (f, args) in
+      let key = Term.make (Term.App (f, args)) in
       let v = opaque_of st key Sort.Int in
       let prev = try Hashtbl.find st.apps f with Not_found -> [] in
       if not (List.exists (fun (v', _) -> Term.equal v v') prev) then begin
@@ -335,7 +318,7 @@ let rec elab_int st (t : Term.t) : Term.t =
 
 (** Elaborate a boolean-sorted term (a predicate). *)
 and elab_pred st (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Bool _ -> t
   | Var (_, Sort.Bool) -> t
   | Var _ -> raise (Term.Ill_sorted (Term.to_string t))
@@ -343,11 +326,11 @@ and elab_pred st (t : Term.t) : Term.t =
       if has_real a || has_real b then opaque_of st t Sort.Bool
       else Term.mk_cmp op (elab_int st a) (elab_int st b)
   | Eq (a, b) | Ne (a, b) -> (
-      let mk x y = match t with Eq _ -> Term.mk_eq x y | _ -> Term.mk_ne x y in
+      let mk x y = match Term.view t with Eq _ -> Term.mk_eq x y | _ -> Term.mk_ne x y in
       match Term.sort_of a with
       | Sort.Bool ->
           let p = Term.mk_iff (elab_pred st a) (elab_pred st b) in
-          (match t with Eq _ -> p | _ -> Term.mk_not p)
+          (match Term.view t with Eq _ -> p | _ -> Term.mk_not p)
       | Sort.Real -> opaque_of st t Sort.Bool
       | Sort.Int | Sort.Loc ->
           if has_real a || has_real b then opaque_of st t Sort.Bool
@@ -382,24 +365,24 @@ type bform =
   | BOr of bform list
 
 type atoms = {
-  table : int SmallTbl.t;  (** structural keys, phys-fast on interned terms *)
+  table : int Term.Tbl.t;
   mutable list : Term.t list;  (** reversed *)
   mutable n : int;
 }
 
 let atom_id atoms (t : Term.t) =
-  match SmallTbl.find_opt atoms.table t with
+  match Term.Tbl.find_opt atoms.table t with
   | Some i -> i
   | None ->
       let i = atoms.n in
       atoms.n <- i + 1;
       atoms.list <- t :: atoms.list;
-      SmallTbl.add atoms.table t i;
+      Term.Tbl.add atoms.table t i;
       i
 
 (** Convert an elaborated predicate to NNF over atom ids. *)
 let rec to_bform atoms pol (t : Term.t) : bform =
-  match t with
+  match Term.view t with
   | Bool b -> if b = pol then BTrue else BFalse
   | Not a -> to_bform atoms (not pol) a
   | And ts ->
@@ -424,7 +407,7 @@ let rec to_bform atoms pol (t : Term.t) : bform =
             BAnd [ to_bform atoms true a; to_bform atoms false b ];
             BAnd [ to_bform atoms false a; to_bform atoms true b ];
           ]
-  | Ne (a, b) -> to_bform atoms (not pol) (Term.Eq (a, b))
+  | Ne (a, b) -> to_bform atoms (not pol) (Term.make (Term.Eq (a, b)))
   | Var _ | Cmp _ | Eq _ -> BLit (atom_id atoms t, pol)
   | Ite _ | App _ | Int _ | Real _ | Binop _ | Neg _ ->
       raise (Term.Ill_sorted (Term.to_string t))
@@ -694,7 +677,7 @@ let sat_raw (t : Term.t) : bool =
   let st =
     {
       defs = [];
-      opaque = SmallTbl.create 16;
+      opaque = Term.Tbl.create 16;
       apps = Hashtbl.create 8;
       counter = 0;
       units = lazy (unit_facts [] true t);
@@ -705,10 +688,10 @@ let sat_raw (t : Term.t) : bool =
   let t' = elab_pred st t in
   let full = Term.mk_and (t' :: st.defs) in
   Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
-  match full with
+  match Term.view full with
   | Bool b -> b
   | _ ->
-      let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
+      let atoms = { table = Term.Tbl.create 64; list = []; n = 0 } in
       let f = to_bform atoms true full in
       let atom_arr = Array.of_list (List.rev atoms.list) in
       let stats = stats () in
@@ -747,7 +730,7 @@ let valid (t : Term.t) : bool =
   let stats = stats () in
   stats.queries <- stats.queries + 1;
   Profile.incr "solver.queries";
-  match t with
+  match Term.view t with
   | Bool b ->
       Profile.incr "solver.trivial";
       b
@@ -818,7 +801,7 @@ let certify (goal : Term.t) : Proof.t option =
       let st =
         {
           defs = [];
-          opaque = SmallTbl.create 16;
+          opaque = Term.Tbl.create 16;
           apps = Hashtbl.create 8;
           counter = 0;
           units = lazy [];
@@ -829,7 +812,7 @@ let certify (goal : Term.t) : Proof.t option =
       let fresh = List.rev (Option.value st.record ~default:[]) in
       let defs = st.defs in
       let full = Term.mk_and (neg' :: defs) in
-      match full with
+      match Term.view full with
       | Term.Bool false ->
           Some
             {
@@ -842,7 +825,7 @@ let certify (goal : Term.t) : Proof.t option =
             }
       | Term.Bool true -> None
       | _ -> (
-          let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
+          let atoms = { table = Term.Tbl.create 64; list = []; n = 0 } in
           let f = to_bform atoms true full in
           let atom_arr = Array.of_list (List.rev atoms.list) in
           match dpll_refute atom_arr f with
@@ -868,7 +851,7 @@ let model (t : Term.t) : (string * Eval.value) list option =
     let st =
       {
         defs = [];
-        opaque = SmallTbl.create 16;
+        opaque = Term.Tbl.create 16;
         apps = Hashtbl.create 8;
         counter = 0;
         units = lazy (unit_facts [] true t);
@@ -877,11 +860,11 @@ let model (t : Term.t) : (string * Eval.value) list option =
     in
     let t' = elab_pred st t in
     let full = Term.mk_and (t' :: st.defs) in
-    match full with
+    match Term.view full with
     | Term.Bool false -> None
     | Term.Bool true -> Some ([||], [])
     | _ -> (
-        let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
+        let atoms = { table = Term.Tbl.create 64; list = []; n = 0 } in
         let f = to_bform atoms true full in
         let atom_arr = Array.of_list (List.rev atoms.list) in
         match dpll_model atom_arr f with
@@ -900,7 +883,7 @@ let model (t : Term.t) : (string * Eval.value) list option =
           let bools =
             List.filter_map
               (fun (i, v) ->
-                match atom_arr.(i) with
+                match Term.view atom_arr.(i) with
                 | Term.Var (x, Sort.Bool) -> Some (x, v)
                 | _ -> None)
               asn

@@ -7,17 +7,13 @@
     constraints shipped to the solver and printed in error messages stay
     readable.
 
-    Small terms built through the smart constructors are
-    {e hash-consed}: structurally equal terms under the size cap are
-    physically equal, so {!equal} is O(1) on the fast path, {!hash} and
-    {!free_vars} are memoized per term, and the solver's query caches
-    and elaboration tables ({!Tbl}) avoid deep structural traversals.
-    Terms above the cap stay raw (see [max_interned_size]); their
-    {!hash}/{!free_vars} recurse one level and hit the memoized small
-    children. The raw constructors remain exposed for pattern matching;
-    terms built with them bypass interning and simply fall back to the
-    structural (slow-path) implementations, so correctness never
-    depends on interning. *)
+    Every term is {e hash-consed} (Filliâtre–Conchon, "Type-Safe
+    Modular Hash-Consing", 2006): a node of any size is interned by the
+    constructor that builds it ({!make} and the smart constructors) and
+    carries its structural hash, computed once from its children's
+    stored hashes, plus a unique tag. {!hash} reads a field, and
+    {!equal} is pointer equality for two terms of the same intern table.
+    Pattern matching goes through {!view}. *)
 
 type binop =
   | Add
@@ -32,7 +28,18 @@ type cmpop =
   | Gt
   | Ge
 
-type t =
+module VarSet = Set.Make (String)
+
+type t = {
+  node : node;
+  hkey : int;  (** structural hash, from the children's [hkey]s *)
+  tag : int;
+      (** unique per node: the intern table's stamp in the high bits,
+          the node's serial number in that table below *)
+  mutable fvs : VarSet.t option;  (** memoized {!free_vars} *)
+}
+
+and node =
   | Var of string * Sort.t
   | Int of int
   | Real of float
@@ -53,16 +60,29 @@ type t =
           convention (sufficient for our use: opaque abstractions of
           nonlinear arithmetic and the WP baseline's array reads) *)
 
-module VarSet = Set.Make (String)
+let view t = t.node
+let hash t = t.hkey
 
 (* ------------------------------------------------------------------ *)
 (* Equality                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Identity across tables. Each domain interns into its own table, and
+   {!reset_intern} starts a new one, each under a fresh stamp. Within a
+   table a node is created only when no structurally equal node is
+   there, so two nodes of one table are equal exactly when they are the
+   same pointer. Terms of different tables meet when an engine worker
+   reads terms built elsewhere (solver preps, the global environment)
+   or a term outlives a reset; they compare structurally, hash first,
+   and their tags are never compared. *)
+let stamp_shift = 32
+let same_table a b = a.tag lsr stamp_shift = b.tag lsr stamp_shift
+
 let rec equal a b =
-  a == b
-  ||
-  match (a, b) with
+  a == b || (a.hkey = b.hkey && (not (same_table a b)) && equal_node a.node b.node)
+
+and equal_node n m =
+  match (n, m) with
   | Var (x, s), Var (y, s') -> String.equal x y && Sort.equal s s'
   | Int x, Int y -> x = y
   | Real x, Real y -> Float.equal x y
@@ -81,139 +101,115 @@ let rec equal a b =
   | _ -> false
 
 and equal_list xs ys =
-  try List.for_all2 equal xs ys with Invalid_argument _ -> false
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> equal x y && equal_list xs ys
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Per-term metadata, attached at intern time: a unique id, the full
-    structural hash, and the lazily-memoized free-variable set. *)
-type meta = { id : int; hash : int; mutable fvs : VarSet.t option }
-
-(* The intern table is keyed by the bounded-depth polymorphic hash
-   (O(1) regardless of term size) with phys-first structural equality:
-   looking up a node whose children are already interned touches at
-   most one level of structure. *)
-module MetaTbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = Stdlib.Hashtbl.hash
-end)
-
-(* The intern table is domain-local: each OCaml 5 domain hash-conses
-   into its own table, so parallel per-function checks never contend on
-   (or race) a shared table. Terms built on one domain and inspected on
-   another simply miss the local table and take the structural
-   fallbacks — correctness never depends on interning. *)
-type intern_state = { tbl : (t * meta) MetaTbl.t; mutable count : int }
-
-let intern_dls : intern_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { tbl = MetaTbl.create (1 lsl 16); count = 0 })
-
-let find_meta t = MetaTbl.find_opt (Domain.DLS.get intern_dls).tbl t
-
 let hash_combine h1 h2 = (h1 * 0x01000193) lxor h2
 
-(** Full structural hash, memoized on interned terms: computing the
-    hash of a node built from interned children is O(1). *)
-let rec hash t =
-  match find_meta t with Some (_, m) -> m.hash | None -> hash_node t
-
-and hash_node t =
-  match t with
+let hash_node = function
   | Var (x, s) -> hash_combine 1 (hash_combine (Hashtbl.hash x) (Hashtbl.hash s))
   | Int n -> hash_combine 2 (Hashtbl.hash n)
   | Real x -> hash_combine 3 (Hashtbl.hash x)
   | Bool b -> hash_combine 4 (Bool.to_int b)
   | Binop (op, a, b) ->
-      hash_combine 5 (hash_combine (Hashtbl.hash op) (hash_combine (hash a) (hash b)))
-  | Neg a -> hash_combine 6 (hash a)
+      hash_combine 5 (hash_combine (Hashtbl.hash op) (hash_combine a.hkey b.hkey))
+  | Neg a -> hash_combine 6 a.hkey
   | Cmp (op, a, b) ->
-      hash_combine 7 (hash_combine (Hashtbl.hash op) (hash_combine (hash a) (hash b)))
-  | Eq (a, b) -> hash_combine 8 (hash_combine (hash a) (hash b))
-  | Ne (a, b) -> hash_combine 9 (hash_combine (hash a) (hash b))
-  | And ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 10 ts
-  | Or ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 11 ts
-  | Not a -> hash_combine 12 (hash a)
-  | Imp (a, b) -> hash_combine 13 (hash_combine (hash a) (hash b))
-  | Iff (a, b) -> hash_combine 14 (hash_combine (hash a) (hash b))
-  | Ite (a, b, c) ->
-      hash_combine 15 (hash_combine (hash a) (hash_combine (hash b) (hash c)))
+      hash_combine 7 (hash_combine (Hashtbl.hash op) (hash_combine a.hkey b.hkey))
+  | Eq (a, b) -> hash_combine 8 (hash_combine a.hkey b.hkey)
+  | Ne (a, b) -> hash_combine 9 (hash_combine a.hkey b.hkey)
+  | And ts -> List.fold_left (fun h t -> hash_combine h t.hkey) 10 ts
+  | Or ts -> List.fold_left (fun h t -> hash_combine h t.hkey) 11 ts
+  | Not a -> hash_combine 12 a.hkey
+  | Imp (a, b) -> hash_combine 13 (hash_combine a.hkey b.hkey)
+  | Iff (a, b) -> hash_combine 14 (hash_combine a.hkey b.hkey)
+  | Ite (a, b, c) -> hash_combine 15 (hash_combine a.hkey (hash_combine b.hkey c.hkey))
   | App (f, ts) ->
-      List.fold_left (fun h t -> hash_combine h (hash t))
-        (hash_combine 16 (Hashtbl.hash f))
-        ts
+      let h = hash_combine 16 (Hashtbl.hash f) in
+      List.fold_left (fun h t -> hash_combine h t.hkey) h ts
 
-let intern_meta (t : t) : t * meta =
-  let st = Domain.DLS.get intern_dls in
-  match MetaTbl.find_opt st.tbl t with
-  | Some cm -> cm
-  | None ->
-      let m = { id = st.count; hash = hash_node t; fvs = None } in
-      st.count <- st.count + 1;
-      MetaTbl.add st.tbl t (t, m);
-      (t, m)
+(* The intern table: buckets chained by [hkey], domain-local so
+   parallel checks never contend on (or race) a shared table. It is
+   strong, and bounded by resets: the engine resets it at every task
+   and the daemon at every request, so it holds the terms of one
+   function's check or slice at most. *)
+type table = { mutable buckets : t list array; mutable count : int; mutable stamp : int }
 
-(* Interning large terms is counterproductive: the bounded polymorphic
-   hash keying the intern table only samples a prefix of the term, so
-   the thousands of near-identical query-sized conjunctions and
-   implications built by the weakening loop (same hypothesis prefix,
-   different tail or goal) collide into a few buckets, and every
-   construction then pays a long bucket scan whose structural [equal]
-   also resolves only at the end of the shared prefix. Gating on a
-   small size cap keeps interning where it pays — atoms and
-   qualifier-sized predicates, fully covered by the bounded hash — and
-   is viral: a term containing a large subterm is itself large, so
-   query-level wrappers ([Imp]/[Not] around a wide [And]) stay raw too
-   and never reach those degenerate buckets. Raw terms fall back to the
-   structural [hash]/[free_vars], which stay cheap level-by-level
-   because their (small) children are still interned and memoized. *)
-let max_interned_size = 32
+let next_stamp = Atomic.make 0
+let initial_buckets = 1024
 
-let rec size_capped budget t =
-  if budget <= 0 then 0
-  else
-    match t with
-    | Var _ | Int _ | Real _ | Bool _ -> budget - 1
-    | Neg a | Not a -> size_capped (budget - 1) a
-    | Binop (_, a, b)
-    | Cmp (_, a, b)
-    | Eq (a, b)
-    | Ne (a, b)
-    | Imp (a, b)
-    | Iff (a, b) ->
-        size_capped (size_capped (budget - 1) a) b
-    | And ts | Or ts | App (_, ts) -> List.fold_left size_capped (budget - 1) ts
-    | Ite (a, b, c) -> size_capped (size_capped (size_capped (budget - 1) a) b) c
+let fresh_table st =
+  st.buckets <- Array.make initial_buckets [];
+  st.count <- 0;
+  st.stamp <- Atomic.fetch_and_add next_stamp 1
 
-let internable t = size_capped max_interned_size t > 0
+let table_dls : table Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let st = { buckets = [||]; count = 0; stamp = 0 } in
+      fresh_table st;
+      st)
 
-(** Intern a term node: returns the canonical physically-shared
-    representative (for terms under the size cap; larger terms are
-    returned as-is and handled by the structural fallbacks). All smart
-    constructors route through this. *)
-let hc (t : t) : t = if internable t then fst (intern_meta t) else t
+let grow st =
+  let old = st.buckets in
+  let mask = (2 * Array.length old) - 1 in
+  let buckets = Array.make (mask + 1) [] in
+  Array.iter
+    (List.iter (fun t ->
+         let i = t.hkey land mask in
+         buckets.(i) <- t :: buckets.(i)))
+    old;
+  st.buckets <- buckets
 
-(** Unique id of (the canonical representative of) a term. Stable for
-    the lifetime of the intern table; useful as a cheap total order. *)
-let term_id (t : t) : int = (snd (intern_meta t)).id
+(** Intern a node as is (no simplification): the table's node when
+    one is structurally equal, else a new node. *)
+let make (node : node) : t =
+  let st = Domain.DLS.get table_dls in
+  let hkey = hash_node node in
+  let i = hkey land (Array.length st.buckets - 1) in
+  let rec find = function
+    | u :: rest -> if u.hkey = hkey && equal_node u.node node then u else find rest
+    | [] ->
+        let tag = (st.stamp lsl stamp_shift) lor st.count in
+        let t = { node; hkey; tag; fvs = None } in
+        st.buckets.(i) <- t :: st.buckets.(i);
+        st.count <- st.count + 1;
+        if st.count > 2 * Array.length st.buckets then grow st;
+        t
+  in
+  find st.buckets.(i)
 
-let interned_terms () = (Domain.DLS.get intern_dls).count
+(** Intern a term that no constructor of this process built — one read
+    back by [Marshal] — into this domain's table. *)
+let rec import t =
+  make
+    (match t.node with
+    | (Var _ | Int _ | Real _ | Bool _) as n -> n
+    | Binop (op, a, b) -> Binop (op, import a, import b)
+    | Neg a -> Neg (import a)
+    | Cmp (op, a, b) -> Cmp (op, import a, import b)
+    | Eq (a, b) -> Eq (import a, import b)
+    | Ne (a, b) -> Ne (import a, import b)
+    | And ts -> And (List.map import ts)
+    | Or ts -> Or (List.map import ts)
+    | Not a -> Not (import a)
+    | Imp (a, b) -> Imp (import a, import b)
+    | Iff (a, b) -> Iff (import a, import b)
+    | Ite (a, b, c) -> Ite (import a, import b, import c)
+    | App (f, ts) -> App (f, List.map import ts))
 
-(** Drop all interning metadata. Existing terms stay valid ([hash] and
-    [free_vars] recompute structurally); only sharing and memoization
-    are lost. Exposed for long-running processes that want to bound the
+(** Start a new, empty intern table on this domain. Terms built before
+    stay valid and keep their identity: they compare and hash exactly
+    like their twins built afterwards. *)
+let reset_intern () = fresh_table (Domain.DLS.get table_dls)
+
+(** Hash tables keyed by terms: O(1) hash, pointer equality within a
     table. *)
-let reset_intern () =
-  let st = Domain.DLS.get intern_dls in
-  MetaTbl.reset st.tbl;
-  st.count <- 0
-
-(** Hash tables keyed by terms, using the memoized structural hash and
-    phys-first equality — the right key type for solver query caches
-    and elaboration tables (replaces [to_string]-keyed tables). *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -225,74 +221,74 @@ end)
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let tt = hc (Bool true)
-let ff = hc (Bool false)
+let tt = make (Bool true)
+let ff = make (Bool false)
 let bool b = if b then tt else ff
-let int n = hc (Int n)
-let real x = hc (Real x)
-let var ?(sort = Sort.Int) name = hc (Var (name, sort))
-let bvar name = hc (Var (name, Sort.Bool))
+let int n = make (Int n)
+let real x = make (Real x)
+let var ?(sort = Sort.Int) name = make (Var (name, sort))
+let bvar name = make (Var (name, Sort.Bool))
 
 let rec mk_not t =
-  match t with
+  match t.node with
   | Bool b -> bool (not b)
   | Not t' -> t'
-  | Cmp (Lt, a, b) -> hc (Cmp (Ge, a, b))
-  | Cmp (Le, a, b) -> hc (Cmp (Gt, a, b))
-  | Cmp (Gt, a, b) -> hc (Cmp (Le, a, b))
-  | Cmp (Ge, a, b) -> hc (Cmp (Lt, a, b))
-  | Eq (a, b) -> hc (Ne (a, b))
-  | Ne (a, b) -> hc (Eq (a, b))
-  | And ts -> hc (Or (List.map mk_not ts))
-  | Or ts -> hc (And (List.map mk_not ts))
-  | _ -> hc (Not t)
+  | Cmp (Lt, a, b) -> make (Cmp (Ge, a, b))
+  | Cmp (Le, a, b) -> make (Cmp (Gt, a, b))
+  | Cmp (Gt, a, b) -> make (Cmp (Le, a, b))
+  | Cmp (Ge, a, b) -> make (Cmp (Lt, a, b))
+  | Eq (a, b) -> make (Ne (a, b))
+  | Ne (a, b) -> make (Eq (a, b))
+  | And ts -> make (Or (List.map mk_not ts))
+  | Or ts -> make (And (List.map mk_not ts))
+  | _ -> make (Not t)
 
 let mk_and ts =
   let rec flatten acc = function
     | [] -> Some (List.rev acc)
-    | Bool true :: rest -> flatten acc rest
-    | Bool false :: _ -> None
-    | And sub :: rest -> flatten acc (sub @ rest)
+    | { node = Bool true; _ } :: rest -> flatten acc rest
+    | { node = Bool false; _ } :: _ -> None
+    | { node = And sub; _ } :: rest -> flatten acc (sub @ rest)
     | t :: rest -> flatten (t :: acc) rest
   in
   match flatten [] ts with
   | None -> ff
   | Some [] -> tt
   | Some [ t ] -> t
-  | Some ts -> hc (And ts)
+  | Some ts -> make (And ts)
 
 let mk_or ts =
   let rec flatten acc = function
     | [] -> Some (List.rev acc)
-    | Bool false :: rest -> flatten acc rest
-    | Bool true :: _ -> None
-    | Or sub :: rest -> flatten acc (sub @ rest)
+    | { node = Bool false; _ } :: rest -> flatten acc rest
+    | { node = Bool true; _ } :: _ -> None
+    | { node = Or sub; _ } :: rest -> flatten acc (sub @ rest)
     | t :: rest -> flatten (t :: acc) rest
   in
   match flatten [] ts with
   | None -> tt
   | Some [] -> ff
   | Some [ t ] -> t
-  | Some ts -> hc (Or ts)
+  | Some ts -> make (Or ts)
 
 let mk_imp a b =
-  match (a, b) with
-  | Bool true, b -> b
+  match (a.node, b.node) with
+  | Bool true, _ -> b
   | Bool false, _ -> tt
   | _, Bool true -> tt
   | _, Bool false -> mk_not a
-  | _ -> hc (Imp (a, b))
+  | _ -> make (Imp (a, b))
 
 let mk_iff a b =
-  match (a, b) with
-  | Bool true, b -> b
-  | b, Bool true -> b
-  | Bool false, b -> mk_not b
-  | b, Bool false -> mk_not b
-  | _ -> hc (Iff (a, b))
+  match (a.node, b.node) with
+  | Bool true, _ -> b
+  | _, Bool true -> a
+  | Bool false, _ -> mk_not b
+  | _, Bool false -> mk_not a
+  | _ -> make (Iff (a, b))
 
 let rec mk_binop op a b =
-  match (op, a, b) with
+  match (op, a.node, b.node) with
   | Add, Int x, Int y -> int (x + y)
   | Sub, Int x, Int y -> int (x - y)
   | Mul, Int x, Int y -> int (x * y)
@@ -300,17 +296,15 @@ let rec mk_binop op a b =
      divisor stays symbolic *)
   | Div, Int x, Int y when y <> 0 -> int (x / y)
   | Mod, Int x, Int y when y <> 0 -> int (x mod y)
-  | Add, t, Int 0 | Add, Int 0, t -> t
-  | Sub, t, Int 0 -> t
-  | Mul, t, Int 1 | Mul, Int 1, t -> t
+  | Add, _, Int 0 | Sub, _, Int 0 | Mul, _, Int 1 | Div, _, Int 1 -> a
+  | Add, Int 0, _ | Mul, Int 1, _ -> b
   | Mul, _, Int 0 | Mul, Int 0, _ -> int 0
-  | Div, t, Int 1 -> t
   (* negative constant divisors normalize to positive ones — exact for
      truncation: a / (-c) = -(a / c) and a % (-c) = a % c — so the LIA
      linearization (positive divisors only) covers them too *)
-  | Div, t, Int c when c < 0 -> hc (Neg (mk_binop Div t (int (-c))))
-  | Mod, t, Int c when c < 0 -> mk_binop Mod t (int (-c))
-  | _ -> hc (Binop (op, a, b))
+  | Div, _, Int c when c < 0 -> make (Neg (mk_binop Div a (int (-c))))
+  | Mod, _, Int c when c < 0 -> mk_binop Mod a (int (-c))
+  | _ -> make (Binop (op, a, b))
 
 let add a b = mk_binop Add a b
 let sub a b = mk_binop Sub a b
@@ -318,10 +312,10 @@ let mul a b = mk_binop Mul a b
 let div a b = mk_binop Div a b
 let md a b = mk_binop Mod a b
 
-let neg = function Int n -> int (-n) | Neg t -> t | t -> hc (Neg t)
+let neg t = match t.node with Int n -> int (-n) | Neg t -> t | _ -> make (Neg t)
 
 let mk_cmp op a b =
-  match (a, b) with
+  match (a.node, b.node) with
   | Int x, Int y ->
       bool
         (match op with
@@ -329,7 +323,7 @@ let mk_cmp op a b =
         | Le -> x <= y
         | Gt -> x > y
         | Ge -> x >= y)
-  | _ -> hc (Cmp (op, a, b))
+  | _ -> make (Cmp (op, a, b))
 
 let lt a b = mk_cmp Lt a b
 let le a b = mk_cmp Le a b
@@ -337,26 +331,28 @@ let gt a b = mk_cmp Gt a b
 let ge a b = mk_cmp Ge a b
 
 let mk_eq a b =
-  match (a, b) with
+  match (a.node, b.node) with
   | Int x, Int y -> bool (x = y)
   | Bool x, Bool y -> bool (x = y)
-  | Bool true, t | t, Bool true -> t
-  | Bool false, t | t, Bool false -> mk_not t
-  | _ -> if equal a b then tt else hc (Eq (a, b))
+  | Bool true, _ -> b
+  | _, Bool true -> a
+  | Bool false, _ -> mk_not b
+  | _, Bool false -> mk_not a
+  | _ -> if equal a b then tt else make (Eq (a, b))
 
 let mk_ne a b =
-  match (a, b) with
+  match (a.node, b.node) with
   | Int x, Int y -> bool (x <> y)
   | Bool x, Bool y -> bool (x <> y)
-  | _ -> if equal a b then ff else hc (Ne (a, b))
+  | _ -> if equal a b then ff else make (Ne (a, b))
 
 let eq = mk_eq
 let ne = mk_ne
 
 let ite c a b =
-  match c with Bool true -> a | Bool false -> b | _ -> hc (Ite (c, a, b))
+  match c.node with Bool true -> a | Bool false -> b | _ -> make (Ite (c, a, b))
 
-let app f ts = hc (App (f, ts))
+let app f ts = make (App (f, ts))
 
 (* ------------------------------------------------------------------ *)
 (* Sorts                                                               *)
@@ -364,7 +360,8 @@ let app f ts = hc (App (f, ts))
 
 exception Ill_sorted of string
 
-let rec sort_of = function
+let rec sort_of t =
+  match t.node with
   | Var (_, s) -> s
   | Int _ -> Sort.Int
   | Real _ -> Sort.Real
@@ -381,7 +378,8 @@ let is_pred t = Sort.equal (sort_of t) Sort.Bool
 (* Free variables and substitution                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec fold_vars f acc = function
+let rec fold_vars f acc t =
+  match t.node with
   | Var (x, s) -> f acc x s
   | Int _ | Real _ | Bool _ -> acc
   | Neg a | Not a -> fold_vars f acc a
@@ -391,32 +389,33 @@ let rec fold_vars f acc = function
   | And ts | Or ts | App (_, ts) -> List.fold_left (fold_vars f) acc ts
   | Ite (a, b, c) -> fold_vars f (fold_vars f (fold_vars f acc a) b) c
 
-(** Free-variable set, memoized on interned terms: after the first
-    computation, [free_vars] on the same (physically shared) term is a
-    table lookup — the payoff for cone-of-influence slicing, which
-    re-tags the same hypotheses on every weakening iteration. *)
+(** Free-variable set, memoized on the node: after the first
+    computation, [free_vars] on the same term is a field read — the
+    payoff for cone-of-influence slicing, which re-tags the same
+    hypotheses on every weakening iteration. Only nodes of this domain's
+    current table are written: a term shared with other domains or kept
+    from before a reset is never mutated, so no two domains race on a
+    node, and the work (and allocation) of a check does not depend on
+    what earlier checks memoized. *)
 let rec free_vars t =
-  match find_meta t with
-  | Some (_, m) -> (
-      match m.fvs with
-      | Some s -> s
-      | None ->
-          let s = fvs_node t in
-          m.fvs <- Some s;
-          s)
-  | None -> fvs_node t
-
-and fvs_node = function
-  | Var (x, _) -> VarSet.singleton x
-  | Int _ | Real _ | Bool _ -> VarSet.empty
-  | Neg a | Not a -> free_vars a
-  | Binop (_, a, b) | Cmp (_, a, b) | Eq (a, b) | Ne (a, b) | Imp (a, b) | Iff (a, b)
-    ->
-      VarSet.union (free_vars a) (free_vars b)
-  | And ts | Or ts | App (_, ts) ->
-      List.fold_left (fun acc t -> VarSet.union acc (free_vars t)) VarSet.empty ts
-  | Ite (a, b, c) ->
-      VarSet.union (free_vars a) (VarSet.union (free_vars b) (free_vars c))
+  match t.fvs with
+  | Some s -> s
+  | None ->
+      let s =
+        match t.node with
+        | Var (x, _) -> VarSet.singleton x
+        | Int _ | Real _ | Bool _ -> VarSet.empty
+        | Neg a | Not a -> free_vars a
+        | Binop (_, a, b) | Cmp (_, a, b) | Eq (a, b) | Ne (a, b) | Imp (a, b) | Iff (a, b)
+          ->
+            VarSet.union (free_vars a) (free_vars b)
+        | And ts | Or ts | App (_, ts) ->
+            List.fold_left (fun acc t -> VarSet.union acc (free_vars t)) VarSet.empty ts
+        | Ite (a, b, c) ->
+            VarSet.union (free_vars a) (VarSet.union (free_vars b) (free_vars c))
+      in
+      if t.tag lsr stamp_shift = (Domain.DLS.get table_dls).stamp then t.fvs <- Some s;
+      s
 
 let free_vars_sorted t =
   fold_vars
@@ -455,9 +454,9 @@ let cone_of_influence (hyps : (t * VarSet.t) list) (seed : VarSet.t) : t list =
 
 (** Capture-free is not a concern: the logic is quantifier-free. *)
 let rec subst (m : (string * t) list) t =
-  match t with
-  | Var (x, _) -> ( match List.assoc_opt x m with Some u -> u | None -> hc t)
-  | Int _ | Real _ | Bool _ -> hc t
+  match t.node with
+  | Var (x, _) -> ( match List.assoc_opt x m with Some u -> u | None -> t)
+  | Int _ | Real _ | Bool _ -> t
   | Binop (op, a, b) -> mk_binop op (subst m a) (subst m b)
   | Neg a -> neg (subst m a)
   | Cmp (op, a, b) -> mk_cmp op (subst m a) (subst m b)
@@ -474,30 +473,31 @@ let rec subst (m : (string * t) list) t =
 let subst1 x u t = subst [ (x, u) ] t
 
 (** Rename variables according to [m]; variables not in [m] are kept.
-    Structure-preserving (no simplification), but still interned. *)
+    Structure-preserving (no simplification). *)
 let rec rename_vars (m : (string * string) list) t =
-  match t with
+  match t.node with
   | Var (x, s) -> (
-      match List.assoc_opt x m with Some y -> hc (Var (y, s)) | None -> hc t)
-  | Int _ | Real _ | Bool _ -> hc t
-  | Binop (op, a, b) -> hc (Binop (op, rename_vars m a, rename_vars m b))
-  | Neg a -> hc (Neg (rename_vars m a))
-  | Cmp (op, a, b) -> hc (Cmp (op, rename_vars m a, rename_vars m b))
-  | Eq (a, b) -> hc (Eq (rename_vars m a, rename_vars m b))
-  | Ne (a, b) -> hc (Ne (rename_vars m a, rename_vars m b))
-  | And ts -> hc (And (List.map (rename_vars m) ts))
-  | Or ts -> hc (Or (List.map (rename_vars m) ts))
-  | Not a -> hc (Not (rename_vars m a))
-  | Imp (a, b) -> hc (Imp (rename_vars m a, rename_vars m b))
-  | Iff (a, b) -> hc (Iff (rename_vars m a, rename_vars m b))
-  | Ite (a, b, c) -> hc (Ite (rename_vars m a, rename_vars m b, rename_vars m c))
-  | App (f, ts) -> hc (App (f, List.map (rename_vars m) ts))
+      match List.assoc_opt x m with Some y -> make (Var (y, s)) | None -> t)
+  | Int _ | Real _ | Bool _ -> t
+  | Binop (op, a, b) -> make (Binop (op, rename_vars m a, rename_vars m b))
+  | Neg a -> make (Neg (rename_vars m a))
+  | Cmp (op, a, b) -> make (Cmp (op, rename_vars m a, rename_vars m b))
+  | Eq (a, b) -> make (Eq (rename_vars m a, rename_vars m b))
+  | Ne (a, b) -> make (Ne (rename_vars m a, rename_vars m b))
+  | And ts -> make (And (List.map (rename_vars m) ts))
+  | Or ts -> make (Or (List.map (rename_vars m) ts))
+  | Not a -> make (Not (rename_vars m a))
+  | Imp (a, b) -> make (Imp (rename_vars m a, rename_vars m b))
+  | Iff (a, b) -> make (Iff (rename_vars m a, rename_vars m b))
+  | Ite (a, b, c) -> make (Ite (rename_vars m a, rename_vars m b, rename_vars m c))
+  | App (f, ts) -> make (App (f, List.map (rename_vars m) ts))
 
 (* ------------------------------------------------------------------ *)
 (* Size & printing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec size = function
+let rec size t =
+  match t.node with
   | Var _ | Int _ | Real _ | Bool _ -> 1
   | Neg a | Not a -> 1 + size a
   | Binop (_, a, b) | Cmp (_, a, b) | Eq (a, b) | Ne (a, b) | Imp (a, b) | Iff (a, b)
@@ -516,7 +516,7 @@ let binop_str = function
 let cmpop_str = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
 let rec pp fmt t =
-  match t with
+  match t.node with
   | Var (x, _) -> Format.pp_print_string fmt x
   | Int n -> Format.pp_print_int fmt n
   | Real x -> Format.pp_print_float fmt x

@@ -138,10 +138,10 @@ let add_error ?witness ck span msg =
     of [sel] and [len], plus variables and small arithmetic subterms
     appearing in the formulas. *)
 let rec collect_candidates (acc : (string, Term.t) Hashtbl.t) (t : Term.t) =
-  (match t with
+  (match Term.view t with
   | Term.App ("sel", [ _; i ]) -> Hashtbl.replace acc (Term.to_string i) i
   | _ -> ());
-  match t with
+  match Term.view t with
   | Term.Var _ | Term.Int _ | Term.Real _ | Term.Bool _ -> ()
   | Term.Neg a | Term.Not a -> collect_candidates acc a
   | Term.Binop (_, a, b)
@@ -164,18 +164,19 @@ let rec collect_candidates (acc : (string, Term.t) Hashtbl.t) (t : Term.t) =
     relevance filter below — connecting quantified facts through shared
     scalars (like a common dimension [n]) would defeat the filter. *)
 let rec container_vars (acc : (string, unit) Hashtbl.t) (t : Term.t) =
-  (match t with
+  (match Term.view t with
   | Term.App (_, a0 :: _) -> (
-      match a0 with
+      match Term.view a0 with
       | Term.Var (x, _) -> Hashtbl.replace acc x ()
       | _ -> ())
-  | Term.Eq (Term.App _, Term.Var (x, _)) | Term.Eq (Term.Var (x, _), Term.App _)
+  | Term.Eq ({ node = Term.App _; _ }, { node = Term.Var (x, _); _ })
+  | Term.Eq ({ node = Term.Var (x, _); _ }, { node = Term.App _; _ })
     ->
       (* a variable equated to a container read is itself a container
          alias (e.g. sel(v, i) = ret) *)
       Hashtbl.replace acc x ()
   | _ -> ());
-  match t with
+  match Term.view t with
   | Term.Var _ | Term.Int _ | Term.Real _ | Term.Bool _ -> ()
   | Term.Neg a | Term.Not a -> container_vars acc a
   | Term.Binop (_, a, b)
@@ -202,7 +203,7 @@ let container_var_set (t : Term.t) : Term.VarSet.t =
 let check_vc ck (st : state) span ~(what : string) (goal : Term.t) : unit =
   ck.vcs <- ck.vcs + 1;
   Profile.incr "wp.vcs";
-  match goal with
+  match Term.view goal with
   | Term.Bool true -> ()
   | _ ->
       let grounds =
@@ -380,7 +381,7 @@ let check_vc ck (st : state) span ~(what : string) (goal : Term.t) : unit =
       end
 
 let assume (st : state) (f : fact) : state = { st with facts = f :: st.facts }
-let assume_t st t = if t = Term.tt then st else assume st (FGround t)
+let assume_t st t = if Term.equal t Term.tt then st else assume st (FGround t)
 
 (* ------------------------------------------------------------------ *)
 (* Specification expression evaluation                                 *)
@@ -400,7 +401,7 @@ let rec eval_spec ck (cx : spec_cx) (e : Ast.expr) : Term.t =
   match e.Ast.e with
   | Ast.EInt n -> Term.int n
   | Ast.EFloat f -> Term.real f
-  | Ast.EBool b -> Term.Bool b
+  | Ast.EBool b -> Term.bool b
   | Ast.EVar x -> (
       match List.assoc_opt x cx.sc_env with
       | Some t -> t
@@ -470,7 +471,7 @@ let rec eval_spec_fact ck (cx : spec_cx) (e : Ast.expr) : fact list =
           binders
       in
       let env' =
-        List.map (fun (x, s) -> (x, Term.Var ("!q_" ^ x, s))) bvars @ cx.sc_env
+        List.map (fun (x, s) -> (x, Term.var ~sort:s ("!q_" ^ x))) bvars @ cx.sc_env
       in
       let body_t = eval_spec ck { cx with sc_env = env' } body in
       [ FForall (List.map (fun (x, s) -> ("!q_" ^ x, s)) bvars, body_t) ]
@@ -495,7 +496,7 @@ let eval_spec_goals ck (cx : spec_cx) (e : Ast.expr) :
             binders
         in
         let env' =
-          List.map (fun (x, y, s) -> (x, Term.Var (y, s))) bvars @ cx.sc_env
+          List.map (fun (x, y, s) -> (x, Term.var ~sort:s y)) bvars @ cx.sc_env
         in
         let body_t = eval_spec ck { cx with sc_env = env' } body in
         [ `ForallGoal (List.map (fun (_, y, s) -> (y, s)) bvars, body_t) ]
@@ -537,7 +538,7 @@ let place_sym ck (st : state) span (p : Ir.place) : sym =
 let operand_sym ck (st : state) span (op : Ir.operand) : sym =
   match op with
   | Ir.Const (Ir.CInt (n, _)) -> SVal (Term.int n)
-  | Ir.Const (Ir.CBool b) -> SVal (Term.Bool b)
+  | Ir.Const (Ir.CBool b) -> SVal (Term.bool b)
   | Ir.Const (Ir.CFloat f) -> SVal (Term.real f)
   | Ir.Const Ir.CUnit -> SVal (Term.int 0)
   | Ir.Copy p | Ir.Move p -> place_sym ck st span p

@@ -182,8 +182,9 @@ let test_qualifier_rotation () =
   let mentions_v2_first =
     List.exists
       (fun q ->
-        match q with
-        | Term.Cmp (_, Term.Var ("v2", _), _) | Term.Eq (Term.Var ("v2", _), _) ->
+        match Term.view q with
+        | Term.Cmp (_, { node = Term.Var ("v2", _); _ }, _)
+        | Term.Eq ({ node = Term.Var ("v2", _); _ }, _) ->
             true
         | _ -> false)
       insts

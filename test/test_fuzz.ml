@@ -62,9 +62,9 @@ let seed_sensitivity () =
     broken solver then claims e.g. [y % 3 >= 0] valid, which brute
     force refutes at [y = -1]. *)
 let rec euclid (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Term.Var _ | Term.Int _ | Term.Real _ | Term.Bool _ -> t
-  | Term.Binop (Term.Mod, a, Term.Int c) when c <> 0 ->
+  | Term.Binop (Term.Mod, a, { node = Term.Int c; _ }) when c <> 0 ->
       let m = Term.int (abs c) in
       Term.md (Term.add (Term.md (euclid a) m) m) m
   | Term.Binop (op, a, b) -> Term.mk_binop op (euclid a) (euclid b)
@@ -281,7 +281,7 @@ let printer_round_trip () =
 (** Rebuild a term bottom-up through the same smart constructors; on
     an interned term the result must be physically equal. *)
 let rec rebuild (t : Term.t) : Term.t =
-  match t with
+  match Term.view t with
   | Term.Var (x, s) -> Term.var ~sort:s x
   | Term.Int n -> Term.int n
   | Term.Real x -> Term.real x
@@ -310,9 +310,9 @@ let hash_consing_props () =
     Alcotest.(check int)
       (Printf.sprintf "case %d: hash stable under rebuild" case)
       (Term.hash t) (Term.hash t');
-    if Term.internable t && not (t == t') then
+    if not (t == t') then
       Alcotest.failf
-        "case %d: structurally equal internable terms not physically shared"
+        "case %d: structurally equal terms not physically shared"
         case;
     (* the memoized free-variable set matches a fold-based recount *)
     let folded =
@@ -328,6 +328,74 @@ let hash_consing_props () =
       folded
       (List.sort compare (List.map fst (Term.free_vars_sorted t)))
   done
+
+(** Structural equality by a node-by-node walk, independent of
+    {!Term.equal}: the reference the hash-consing properties test
+    against. *)
+let rec ref_equal a b =
+  let all2 xs ys = List.length xs = List.length ys && List.for_all2 ref_equal xs ys in
+  match (Term.view a, Term.view b) with
+  | Term.Var (x, s), Term.Var (y, s') -> String.equal x y && Sort.equal s s'
+  | Term.Int x, Term.Int y -> x = y
+  | Term.Real x, Term.Real y -> Float.equal x y
+  | Term.Bool x, Term.Bool y -> x = y
+  | Term.Binop (o, a1, a2), Term.Binop (o', b1, b2) -> o = o' && all2 [ a1; a2 ] [ b1; b2 ]
+  | Term.Cmp (o, a1, a2), Term.Cmp (o', b1, b2) -> o = o' && all2 [ a1; a2 ] [ b1; b2 ]
+  | Term.Neg a, Term.Neg b | Term.Not a, Term.Not b -> ref_equal a b
+  | Term.Eq (a1, a2), Term.Eq (b1, b2)
+  | Term.Ne (a1, a2), Term.Ne (b1, b2)
+  | Term.Imp (a1, a2), Term.Imp (b1, b2)
+  | Term.Iff (a1, a2), Term.Iff (b1, b2) ->
+      all2 [ a1; a2 ] [ b1; b2 ]
+  | Term.Ite (a1, a2, a3), Term.Ite (b1, b2, b3) -> all2 [ a1; a2; a3 ] [ b1; b2; b3 ]
+  | Term.And xs, Term.And ys | Term.Or xs, Term.Or ys -> all2 xs ys
+  | Term.App (f, xs), Term.App (g, ys) -> String.equal f g && all2 xs ys
+  | _ -> false
+
+(** A deterministic term per seed: a conjunction of one to six Tgen
+    terms, so many exceed 32 nodes. Seeds are drawn from a small range,
+    which makes equal pairs common. *)
+let term_of_seed s =
+  let rng = Rng.make s in
+  Term.mk_and (List.init (1 + (s mod 6)) (fun i -> Tgen.gen (Rng.split rng i)))
+
+let seed_pair = QCheck.(pair (int_bound 40) (int_bound 40))
+
+let prop_hc_physical =
+  QCheck.Test.make ~name:"hash-consing: equal on one domain iff physically equal"
+    ~count:300 seed_pair (fun (s1, s2) ->
+      let t1 = term_of_seed s1 and t2 = term_of_seed s2 in
+      let phys = t1 == t2 in
+      ref_equal t1 t2 = phys && Term.equal t1 t2 = phys
+      && (not phys || Term.hash t1 = Term.hash t2))
+
+let prop_hc_foreign =
+  QCheck.Test.make
+    ~name:"hash-consing: terms from another domain or before a reset keep identity"
+    ~count:40 seed_pair (fun (s1, s2) ->
+      let far = Domain.join (Domain.spawn (fun () -> term_of_seed s1)) in
+      let old = term_of_seed s1 in
+      Term.reset_intern ();
+      let t = term_of_seed s1 and u = term_of_seed s2 in
+      let w = Term.var "w" in
+      let same x = Term.equal x t && Term.equal t x && Term.hash x = Term.hash t in
+      same far && same old
+      && Term.equal far u = ref_equal t u
+      && Term.equal old u = ref_equal t u
+      (* a node over a foreign child is the node over its local twin *)
+      && Term.mk_and [ far; w ] == Term.mk_and [ t; w ]
+      && Term.mk_imp old w == Term.mk_imp t w)
+
+let prop_hc_hash_memo =
+  QCheck.Test.make ~name:"hash-consing: hash unchanged once free_vars is memoized"
+    ~count:100 (QCheck.int_bound 40) (fun s ->
+      Term.reset_intern ();
+      let t = term_of_seed s in
+      let tbl = Term.Tbl.create 1 in
+      Term.Tbl.replace tbl t ();
+      let h = Term.hash t in
+      ignore (Term.free_vars t);
+      Term.hash t = h && Term.Tbl.mem tbl t && Term.Tbl.mem tbl (term_of_seed s))
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer codecs                                                   *)
@@ -523,4 +591,7 @@ let tests =
         absint_broken_containment_caught;
       Alcotest.test_case "fuzz-corpus reproducers stay fixed" `Quick
         corpus_replay;
-    ] )
+    ]
+    @ List.map
+        (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |]))
+        [ prop_hc_physical; prop_hc_foreign; prop_hc_hash_memo ] )

@@ -27,7 +27,7 @@ let test_conv_indexed () =
   let t, params = conv "usize<@n>" in
   Alcotest.(check int) "one param" 1 (List.length params);
   match t with
-  | Rty.TBase (Rty.BInt Ast.Usize, Rty.Ix [ Term.Var ("n", Sort.Int) ]) -> ()
+  | Rty.TBase (Rty.BInt Ast.Usize, Rty.Ix [ { node = Term.Var ("n", Sort.Int); _ } ]) -> ()
   | _ -> Alcotest.failf "unexpected %s" (Rty.to_string t)
 
 let test_conv_existential () =
@@ -51,7 +51,10 @@ let test_conv_nested_vec () =
 let test_conv_struct () =
   let t, _ = conv "RMat<3, 4>" in
   match t with
-  | Rty.TBase (Rty.BStruct "RMat", Rty.Ix [ Term.Int 3; Term.Int 4 ]) -> ()
+  | Rty.TBase
+      (Rty.BStruct "RMat", Rty.Ix [ { node = Term.Int 3; _ }; { node = Term.Int 4; _ } ])
+    ->
+      ()
   | _ -> Alcotest.failf "unexpected %s" (Rty.to_string t)
 
 let test_sig_resolution () =
@@ -212,7 +215,7 @@ let test_usize_invariant () =
   let has_nonneg =
     List.exists
       (function
-        | Horn.Conc (Term.Cmp (Term.Ge, _, Term.Int 0)) -> true
+        | Horn.Conc { node = Term.Cmp (Term.Ge, _, { node = Term.Int 0; _ }); _ } -> true
         | _ -> false)
       hyps
   in

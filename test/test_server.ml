@@ -752,6 +752,86 @@ let raw_socket_version_error () =
                   | Error e -> Alcotest.fail ("response decode: " ^ e))
               | o -> Alcotest.fail ("expected a frame, got " ^ frame_label o)))
 
+(** One session answering many check requests — each of which clears
+    the session's solver caches, absint memo and intern table — must
+    answer byte for byte as fresh sessions do. *)
+let session_requests_match_fresh () =
+  with_daemon (fun sock ->
+      let request file source =
+        Protocol.Check
+          {
+            opts = { (Exec.default_opts Exec.Flux_check) with Exec.cache = false };
+            file;
+            source = Some source;
+            deadline_ms = None;
+          }
+      in
+      let inputs =
+        List.map
+          (fun f -> (f, read_file f))
+          [ "../examples/programs/init_zeros.rs"; "../examples/programs/oob.rs" ]
+        @ List.filter_map
+            (fun n ->
+              Option.map
+                (fun b -> (n ^ ".rs", b.Flux_workloads.Workloads.bm_flux))
+                (Flux_workloads.Workloads.find n))
+            [ "bsearch"; "dotprod" ]
+      in
+      let fresh =
+        List.map
+          (fun (f, src) ->
+            match Client.roundtrip ~socket:sock (request f src) with
+            | Ok r -> r
+            | Error e -> Alcotest.fail ("fresh session: " ^ e))
+          inputs
+      in
+      match Daemon.try_connect sock with
+      | None -> Alcotest.fail "cannot connect"
+      | Some fd ->
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              for round = 1 to 3 do
+                List.iter2
+                  (fun (f, src) expected ->
+                    Protocol.write_frame fd (Protocol.encode_request (request f src));
+                    match Protocol.read_frame fd with
+                    | Protocol.Frame payload ->
+                        Alcotest.(check bool)
+                          (Printf.sprintf "round %d, %s: same answer" round f)
+                          true
+                          (Protocol.decode_response payload = Ok expected)
+                    | o -> Alcotest.fail ("expected a frame, got " ^ frame_label o))
+                  inputs fresh
+              done))
+
+(** [daemon start] returns only once the daemon answers, and the
+    pidfile is in place before it does: every start of a stopped daemon
+    reports "started", never "already running". *)
+let repeated_start_stop () =
+  let sock = fresh_tmp "fluxd-restart" ^ ".sock" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (run_flux ("daemon stop --socket " ^ sq sock));
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ sock; sock ^ ".pid" ])
+    (fun () ->
+      for i = 1 to 5 do
+        let code, out, err = run_flux ("daemon start --socket " ^ sq sock) in
+        Alcotest.(check int) (Printf.sprintf "start %d: %s%s" i out err) 0 code;
+        Alcotest.(check bool)
+          (Printf.sprintf "start %d reports started: %s" i out)
+          true
+          (contains "fluxd: started" out);
+        let code, _, _ = run_flux ("daemon stop --socket " ^ sq sock) in
+        Alcotest.(check int) (Printf.sprintf "stop %d" i) 0 code;
+        Alcotest.(check bool)
+          (Printf.sprintf "stop %d removes the socket" i)
+          true
+          (wait_until (fun () -> not (Sys.file_exists sock)))
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics unit behavior                                               *)
 (* ------------------------------------------------------------------ *)
@@ -812,4 +892,7 @@ let tests =
       Alcotest.test_case "auto-spawn on --daemon, fallback when unreachable" `Quick auto_spawn_and_fallback;
       Alcotest.test_case "warm daemon re-check issues zero SMT queries" `Quick warm_daemon_zero_smt;
       Alcotest.test_case "daemon answers foreign versions with an error" `Quick raw_socket_version_error;
+      Alcotest.test_case "one session's many requests match fresh sessions" `Quick
+        session_requests_match_fresh;
+      Alcotest.test_case "repeated daemon start/stop always starts" `Quick repeated_start_stop;
     ] )

@@ -103,7 +103,7 @@ let unit_tests =
     check_valid "float branch consistency" true
       Term.(
         mk_imp
-          (mk_and [ Cmp (Lt, real 1.0, v ~sort:Sort.Real "f"); lt x y ])
+          (mk_and [ Term.make (Cmp (Lt, real 1.0, v ~sort:Sort.Real "f")); lt x y ])
           (lt x y));
     (* ite lifting: z = min(x,y) implies z <= x *)
     check_valid "ite" true
@@ -174,7 +174,7 @@ let gen_term : Term.t QCheck.Gen.t =
     3
 
 let rec eval_term (env : (string * int) list) (t : Term.t) : int =
-  match t with
+  match Term.view t with
   | Term.Var (s, _) -> List.assoc s env
   | Term.Int k -> k
   | Term.Binop (Term.Add, a, b) -> eval_term env a + eval_term env b
@@ -184,7 +184,7 @@ let rec eval_term (env : (string * int) list) (t : Term.t) : int =
   | _ -> failwith "eval_term"
 
 let rec eval_pred (env : (string * int) list) (t : Term.t) : bool =
-  match t with
+  match Term.view t with
   | Term.Bool b -> b
   | Term.Cmp (op, a, b) -> (
       let a = eval_term env a and b = eval_term env b in
@@ -235,7 +235,7 @@ let prop_subst_ground =
       let env = [ ("x", 1); ("y", -2); ("z", 3) ] in
       let m = List.map (fun (s, k) -> (s, Term.int k)) env in
       match Term.subst m t with
-      | Term.Bool b -> b = eval_pred env t
+      | { node = Term.Bool b; _ } -> b = eval_pred env t
       | t' -> Solver.valid t' = eval_pred env t)
 
 (* Exhaustive differential check of the solver's ground / and %
